@@ -22,33 +22,30 @@
 // outcomes, then the listener shuts down. Requests arriving after the
 // host closes get 503 + Retry-After.
 //
-// -selfdrive binds a loopback listener and drives it with the same
-// open-loop Poisson generator as `hfiserve -mode sweep`, but over real
-// HTTP — wire cost, status mapping, and client disconnects included; one
-// fresh server per offered rate. The table (and -json document) is the
+// -selfdrive binds a loopback listener and drives it with the one
+// open-loop Poisson generator (host.RunOpenLoop) behind `hfiserve -mode
+// sweep` and `hfirouter -selfdrive`, but over real HTTP — wire cost,
+// status mapping, and client disconnects included; one fresh server per
+// offered rate, tenants drawn uniformly from the registry by a seeded
+// PRNG. Every point must account each offered request to exactly one
+// outcome. The table (and the host.SweepReport -json document) is the
 // p99-vs-rate hockey stick.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
+	"runtime"
 	"syscall"
 	"time"
 
 	"hfi/internal/cluster"
 	"hfi/internal/host"
 	"hfi/internal/httpfront"
-	"hfi/internal/stats"
 )
 
 func main() {
@@ -93,7 +90,7 @@ func main() {
 	}
 
 	if *selfdrive {
-		os.Exit(runSelfdrive(cfg, *rates, *requests, *seed, *jsonOut))
+		os.Exit(runSelfdrive(cfg, *rates, *requests, *jsonOut))
 	}
 	os.Exit(serve(cfg, *addr, *drainWait))
 }
@@ -139,87 +136,33 @@ func serve(cfg host.Config, addr string, drainWait time.Duration) int {
 	return 0
 }
 
-// selfdriveReport is the -selfdrive -json document.
-type selfdriveReport struct {
-	Seed    int64             `json:"seed"`
-	Mode    string            `json:"mode"`
-	Policy  string            `json:"policy"`
-	Workers int               `json:"workers"`
-	Points  []host.SweepPoint `json:"points"`
-}
-
 // runSelfdrive sweeps offered rates over real HTTP: one fresh server,
 // front, and loopback listener per rate so queue state never bleeds
 // between points.
-func runSelfdrive(cfg host.Config, rateList string, perRate int, seed int64, jsonOut bool) int {
-	var rates []float64
-	for _, f := range strings.Split(rateList, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "hfihttpd: bad rate %q\n", f)
-			return 2
-		}
-		rates = append(rates, r)
+func runSelfdrive(cfg host.Config, rateList string, perRate int, jsonOut bool) int {
+	rates, err := host.ParseRates(rateList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 2
 	}
-	sort.Float64s(rates)
-
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	reg := registry()
-	names := httpfront.RegistryNames(reg)
-
-	rep := selfdriveReport{Seed: seed, Mode: "selfdrive", Policy: cfg.Policy.String()}
-	for _, rate := range rates {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfihttpd:", err)
-			return 1
-		}
+	launch := func() (host.Target, error) {
 		front := httpfront.New(host.New(cfg), reg)
-		rep.Workers = front.Host().Workers()
-		hs := &http.Server{Handler: front.Handler()}
-		go hs.Serve(ln)
-
-		client := httpfront.NewClient("http://" + ln.Addr().String())
-		pt, err := httpfront.RunOpenLoopHTTP(client, names, rate, perRate, seed)
-		client.CloseIdle()
-
-		front.Host().Close()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		hs.Shutdown(shutCtx)
-		cancel()
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "hfihttpd: sweep @ %.0f req/s: %v\n", rate, err)
-			return 1
-		}
-		rep.Points = append(rep.Points, pt)
+		return httpfront.LoopbackTarget(front.Handler(), front.Host().Close)
 	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "hfihttpd:", err)
-			return 1
-		}
-		return 0
+	run, err := host.RunSweep(cfg.Workers, launch, httpfront.NameMix(httpfront.RegistryNames(reg)), rates, perRate, cfg.Seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 1
 	}
-	tb := &stats.Table{
-		Title:   fmt.Sprintf("open-loop HTTP sweep, %d workers (%d requests/rate, policy %s)", rep.Workers, perRate, cfg.Policy),
-		Columns: []string{"rate req/s", "achieved", "ok", "shed%", "p50", "p99", "p99.9"},
+	rep := host.SweepReport{Seed: cfg.Seed, Mode: "selfdrive", Policy: cfg.Policy.String(),
+		Unit: "workers", PerRate: perRate, Sweeps: []host.SweepRun{run}}
+	if err := rep.Print(os.Stdout, jsonOut, "real HTTP over loopback: latencies include wire + front overhead"); err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 1
 	}
-	for _, pt := range rep.Points {
-		tb.AddRow(
-			fmt.Sprintf("%.0f", pt.RateRPS),
-			fmt.Sprintf("%.0f", pt.AchievedRPS),
-			strconv.FormatUint(pt.OK, 10),
-			fmt.Sprintf("%.1f", pt.ShedRate*100),
-			stats.Ns(pt.P50Ns), stats.Ns(pt.P99Ns), stats.Ns(pt.P999Ns),
-		)
-	}
-	tb.AddNote("real HTTP over loopback: latencies include wire + front overhead")
-	fmt.Println(tb)
 	return 0
 }

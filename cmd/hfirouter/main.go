@@ -28,21 +28,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"hfi/internal/cluster"
+	"hfi/internal/host"
 	"hfi/internal/httpfront"
-	"hfi/internal/stats"
 )
 
 func main() {
@@ -130,56 +126,26 @@ func serve(opts cluster.LaunchOpts, addr string, drainWait time.Duration) int {
 }
 
 func runSelfdrive(opts cluster.LaunchOpts, rateList string, perRate int, seed int64, jsonOut bool, check string, tol float64) int {
-	var rates []float64
-	for _, f := range strings.Split(rateList, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "hfirouter: bad rate %q\n", f)
-			return 2
-		}
-		rates = append(rates, r)
+	rates, err := host.ParseRates(rateList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfirouter:", err)
+		return 2
 	}
-	sort.Float64s(rates)
-
-	names := httpfront.RegistryNames(httpfront.DefaultRegistry(1))
-	rep, err := cluster.RunSweep(opts, names, rates, perRate, seed)
+	launch := func() (host.Target, error) { return cluster.SweepTarget(opts) }
+	mix := httpfront.NameMix(httpfront.RegistryNames(httpfront.DefaultRegistry(1)))
+	run, err := host.RunSweep(opts.N, launch, mix, rates, perRate, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfirouter:", err)
 		return 1
 	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "hfirouter:", err)
-			return 1
-		}
-	} else {
-		tb := &stats.Table{
-			Title:   fmt.Sprintf("cluster open-loop sweep, %d shards (%d requests/rate)", rep.Shards, perRate),
-			Columns: []string{"rate req/s", "achieved", "ok", "shed%", "hit%", "p50", "p99", "p99.9"},
-		}
-		for _, pt := range rep.Points {
-			tb.AddRow(
-				fmt.Sprintf("%.0f", pt.RateRPS),
-				fmt.Sprintf("%.0f", pt.AchievedRPS),
-				strconv.FormatUint(pt.OK, 10),
-				fmt.Sprintf("%.1f", pt.ShedRate*100),
-				fmt.Sprintf("%.1f", pt.RoutingHitRate*100),
-				stats.Ns(pt.P50Ns), stats.Ns(pt.P99Ns), stats.Ns(pt.P999Ns),
-			)
-		}
-		tb.AddNote("real subprocess shards over loopback: fleet-wide conservation checked per point")
-		fmt.Println(tb)
+	rep := host.SweepReport{Seed: seed, Mode: "cluster-sweep", Policy: opts.Shard.Policy,
+		Unit: "shards", PerRate: perRate, Sweeps: []host.SweepRun{run}}
+	if err := rep.Print(os.Stdout, jsonOut, "real subprocess shards over loopback: fleet-wide conservation checked per point"); err != nil {
+		fmt.Fprintln(os.Stderr, "hfirouter:", err)
+		return 1
 	}
-
 	if check != "" {
-		if err := cluster.CheckBaseline(rep, check, tol); err != nil {
+		if err := host.CheckBaseline(rep, check, tol); err != nil {
 			fmt.Fprintln(os.Stderr, "hfirouter:", err)
 			return 1
 		}

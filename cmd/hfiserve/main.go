@@ -72,24 +72,16 @@ type report struct {
 	// every worker count in the report.
 	ChaosTotal *chaos.Summary `json:"chaos_total,omitempty"`
 	Runs       []runReport    `json:"runs,omitempty"`
-	Sweeps     []sweepRun     `json:"sweeps,omitempty"`
-}
-
-// sweepRun is one worker count's open-loop rate sweep — the hockey-stick
-// curve at that capacity.
-type sweepRun struct {
-	Workers int               `json:"workers"`
-	Points  []host.SweepPoint `json:"points"`
 }
 
 func main() {
 	var (
 		requests = flag.Int("requests", 400, "requests per worker-count run")
-		workers  = flag.String("workers", "1,2,4", "comma-separated worker counts (GOMAXPROCS is always included)")
+		workers  = flag.String("workers", "1,2,4", "comma-separated worker counts (closed and open modes also run GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "admission queue depth per tenant (0 = 2x workers)")
 		policy   = flag.String("policy", "block", "backpressure policy: block | shed")
 		fuel     = flag.Uint64("fuel", 0, "per-request instruction budget (0 = unlimited)")
-		mode     = flag.String("mode", "closed", "load generator: closed | open")
+		mode     = flag.String("mode", "closed", "load generator: closed | open | sweep")
 		clients  = flag.Int("clients", 0, "closed-loop clients (0 = 2x workers)")
 		rate     = flag.Float64("rate", 800, "open-loop arrival rate, req/s")
 		dispatch = flag.Duration("dispatch", 2*time.Millisecond, "wall-clock per-request dispatch overhead")
@@ -118,7 +110,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	counts, err := parseWorkers(*workers)
+	counts, err := parseWorkers(*workers, *mode != "sweep")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfiserve:", err)
 		os.Exit(2)
@@ -149,19 +141,18 @@ func main() {
 	}
 
 	mix := host.DefaultMix()
+	cfg := host.Config{
+		QueueDepth: *queue, Policy: pol,
+		Fuel: *fuel, DispatchWall: *dispatch,
+		Tenants: tenants,
+		Retry:   host.RetryConfig{Max: 2},
+		Breaker: host.BreakerConfig{Window: *breakWin},
+		Pool:    host.PoolConfig{Cap: *poolCap},
+		Seed:    *seed,
+	}
 
 	if *mode == "sweep" {
-		rateList, err := parseRates(*rates)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfiserve:", err)
-			os.Exit(2)
-		}
-		os.Exit(runSweep(sweepOpts{
-			counts: counts, mix: mix, pol: pol, queue: *queue, fuel: *fuel,
-			dispatch: *dispatch, tenants: tenants, rates: rateList,
-			perRate: *requests, seed: *seed, jsonOut: *jsonOut,
-			checkPath: *check, tol: *tol,
-		}))
+		os.Exit(runSweep(cfg, counts, mix, *rates, *requests, *jsonOut, *check, *tol))
 	}
 
 	// Checksum comparison needs every request to execute exactly once:
@@ -202,18 +193,14 @@ func main() {
 			// every run still sees the same fault schedule.
 			inj = chaos.New(chaosCfg)
 		}
-		s := host.New(host.Config{
-			Workers: w, QueueDepth: *queue, Policy: pol,
-			Fuel: *fuel, DispatchWall: *dispatch,
-			Tenants: tenants,
-			Retry:   host.RetryConfig{Max: 2},
-			Breaker: host.BreakerConfig{Window: *breakWin},
-			Pool:    host.PoolConfig{Cap: *poolCap},
-			Chaos:   inj, Seed: *seed,
-		})
+		cfg.Workers, cfg.Chaos = w, inj
+		s := host.New(cfg)
 		var res host.LoadResult
 		if *mode == "open" {
-			res = host.RunOpenLoop(s, mix, *rate, *requests, *seed)
+			if res, err = host.RunOpenLoop(s.Invoke, mix, *rate, *requests, *seed); err != nil {
+				fmt.Fprintln(os.Stderr, "hfiserve:", err)
+				os.Exit(1)
+			}
 		} else {
 			nc := *clients
 			if nc <= 0 {
@@ -223,7 +210,7 @@ func main() {
 		}
 		s.Close()
 
-		sum := res.Summary
+		sum := s.Snapshot(res.Elapsed)
 		if base == 0 {
 			base = sum.ThroughputRPS
 		}
@@ -306,10 +293,51 @@ func main() {
 	}
 }
 
-// parseWorkers parses the -workers list, appends GOMAXPROCS, and
-// deduplicates in ascending order.
-func parseWorkers(list string) ([]int, error) {
-	seen := map[int]bool{runtime.GOMAXPROCS(0): true}
+// runSweep produces the open-loop latency-vs-offered-load table per worker
+// count — the hockey stick: p99 flat while the offered rate sits below
+// capacity, then exploding (PolicyBlock) or flattening into shed
+// (PolicyShed) past the knee. Returns the process exit code.
+func runSweep(cfg host.Config, counts []int, mix []host.Class, rateList string, perRate int, jsonOut bool, check string, tol float64) int {
+	rates, err := host.ParseRates(rateList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfiserve:", err)
+		return 2
+	}
+	rep := host.SweepReport{Seed: cfg.Seed, Mode: "sweep", Policy: cfg.Policy.String(), Unit: "workers", PerRate: perRate}
+	for _, w := range counts {
+		cfg.Workers = w
+		launch := func() (host.Target, error) {
+			s := host.New(cfg)
+			return host.Target{Invoke: s.Invoke, Close: s.Close}, nil
+		}
+		run, err := host.RunSweep(w, launch, mix, rates, perRate, cfg.Seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hfiserve:", err)
+			return 1
+		}
+		rep.Sweeps = append(rep.Sweeps, run)
+	}
+	if err := rep.Print(os.Stdout, jsonOut, "open loop: arrivals are Poisson at the offered rate, independent of completions"); err != nil {
+		fmt.Fprintln(os.Stderr, "hfiserve:", err)
+		return 1
+	}
+	if check != "" {
+		if err := host.CheckBaseline(rep, check, tol); err != nil {
+			fmt.Fprintln(os.Stderr, "hfiserve: loadtest gate:", err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "hfiserve: p99 within %.1fx of baseline %s at every point\n", tol, check)
+	}
+	return 0
+}
+
+// parseWorkers parses the -workers list, adds GOMAXPROCS when withProcs,
+// and deduplicates in ascending order.
+func parseWorkers(list string, withProcs bool) ([]int, error) {
+	seen := map[int]bool{}
+	if withProcs {
+		seen[runtime.GOMAXPROCS(0)] = true
+	}
 	for _, f := range strings.Split(list, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
@@ -320,6 +348,9 @@ func parseWorkers(list string) ([]int, error) {
 			return nil, fmt.Errorf("bad worker count %q", f)
 		}
 		seen[n] = true
+	}
+	if len(seen) == 0 {
+		return nil, fmt.Errorf("no worker counts given")
 	}
 	counts := make([]int, 0, len(seen))
 	for n := range seen {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hfi/internal/chaos"
+	"hfi/internal/host"
 	"hfi/internal/httpfront"
 )
 
@@ -525,19 +526,20 @@ func TestClusterChaosSoak(t *testing.T) {
 }
 
 // TestRunSweepAndBaseline runs one cluster sweep point end-to-end (fresh
-// 3-shard fleet, open-loop Poisson load, fleet conservation inside
-// RunSweep) and exercises the baseline gate in both directions.
+// 3-shard fleet, open-loop Poisson load, fleet conservation in
+// SweepTarget's Check) and exercises the baseline gate in both directions.
 func TestRunSweepAndBaseline(t *testing.T) {
-	names := tenantNames()
 	opts := LaunchOpts{N: 3, Shard: ShardSpec{Workers: 2, QueueDepth: 32, Seed: 7}}
-	rep, err := RunSweep(opts, names, []float64{800}, 120, 42)
+	launch := func() (host.Target, error) { return SweepTarget(opts) }
+	run, err := host.RunSweep(opts.N, launch, httpfront.NameMix(tenantNames()), []float64{800}, 120, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 1 || rep.Mode != "cluster-sweep" || rep.Shards != 3 {
+	rep := host.SweepReport{Seed: 42, Mode: "cluster-sweep", Unit: "shards", PerRate: 120, Sweeps: []host.SweepRun{run}}
+	if len(run.Points) != 1 || run.Scale != 3 {
 		t.Fatalf("report %+v, want one cluster-sweep point over 3 shards", rep)
 	}
-	pt := rep.Points[0]
+	pt := run.Points[0]
 	if pt.OK == 0 {
 		t.Fatalf("sweep point has no successes: %+v", pt)
 	}
@@ -553,14 +555,14 @@ func TestRunSweepAndBaseline(t *testing.T) {
 	if err := writeJSONFile(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckBaseline(rep, path, 3.0); err != nil {
+	if err := host.CheckBaseline(rep, path, 3.0); err != nil {
 		t.Fatalf("self-baseline failed: %v", err)
 	}
 	// ...and a regressed p99 trips the gate.
 	bad := rep
-	bad.Points = append([]SweepPoint(nil), rep.Points...)
-	bad.Points[0].P99Ns *= 100
-	if err := CheckBaseline(bad, path, 3.0); err == nil {
+	bad.Sweeps = []host.SweepRun{{Scale: run.Scale, Points: append([]host.SweepPoint(nil), run.Points...)}}
+	bad.Sweeps[0].Points[0].P99Ns *= 100
+	if err := host.CheckBaseline(bad, path, 3.0); err == nil {
 		t.Fatal("100x p99 regression passed the baseline gate")
 	}
 }

@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -93,139 +89,37 @@ func (c *Cluster) Close() {
 	}
 }
 
-// SweepPoint is one cluster sweep measurement: the client-side open-loop
-// point plus the router's routing/fleet view at the end of the rate.
-type SweepPoint struct {
-	host.SweepPoint
-	Shards          int     `json:"shards"`
-	RoutingHitRate  float64 `json:"routing_hit_rate"`
-	Hedges          uint64  `json:"hedges"`
-	Retries         uint64  `json:"retries"`
-	Migrations      uint64  `json:"migrations"`
-	TransportErrors uint64  `json:"transport_errors"`
-}
-
-// SweepReport is the cluster sweep document (cmd/hfirouter -selfdrive).
-type SweepReport struct {
-	Seed   int64        `json:"seed"`
-	Mode   string       `json:"mode"`
-	Shards int          `json:"shards"`
-	Points []SweepPoint `json:"points"`
-}
-
-// RunSweep drives the whole cluster through one open-loop Poisson sweep
-// per offered rate — a fresh fleet per point so queue and pool state never
-// bleed between rates — and cross-checks fleet-wide conservation at each:
-// client-side offered == Σ outcomes, and for every live shard the
-// router-delivered count equals the shard's own admitted counter.
-func RunSweep(o LaunchOpts, names []string, rates []float64, perRate int, seed int64) (SweepReport, error) {
-	rep := SweepReport{Seed: seed, Mode: "cluster-sweep", Shards: o.N}
-	for _, rate := range rates {
-		pt, err := runSweepPoint(o, names, rate, perRate, seed)
-		if err != nil {
-			return rep, fmt.Errorf("cluster sweep @ %.0f req/s: %w", rate, err)
-		}
-		rep.Points = append(rep.Points, pt)
-	}
-	return rep, nil
-}
-
-func runSweepPoint(o LaunchOpts, names []string, rate float64, perRate int, seed int64) (SweepPoint, error) {
+// SweepTarget launches a fresh fleet behind a loopback router listener as
+// one point of a host.RunSweep. Its Check waits for the router to settle
+// and refreshes the shards' admitted counters, then enforces the fleet
+// ledger — every live shard admitted exactly the requests the router
+// delivered to it — and stamps the router's view onto the point.
+func SweepTarget(o LaunchOpts) (host.Target, error) {
 	cl, err := Launch(o)
 	if err != nil {
-		return SweepPoint{}, err
+		return host.Target{}, err
 	}
-	defer cl.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t, err := httpfront.LoopbackTarget(cl.Router.Handler(), cl.Close)
 	if err != nil {
-		return SweepPoint{}, err
+		return t, err
 	}
-	hs := &http.Server{Handler: cl.Router.Handler()}
-	go hs.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		hs.Shutdown(ctx)
-		cancel()
-	}()
-
-	client := httpfront.NewClient("http://" + ln.Addr().String())
-	defer client.CloseIdle()
-	base, err := httpfront.RunOpenLoopHTTP(client, names, rate, perRate, seed)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	if !cl.Router.Quiesce(10 * time.Second) {
-		return SweepPoint{}, fmt.Errorf("router did not quiesce")
-	}
-	cl.Router.ScrapeOnce() // refresh admitted counters one last time
-	doc := cl.Router.StatszDoc()
-
-	if err := checkFleetConservation(base, doc); err != nil {
-		return SweepPoint{}, err
-	}
-	pt := SweepPoint{
-		SweepPoint:      base,
-		Shards:          len(doc.Cluster.Shards),
-		RoutingHitRate:  doc.Cluster.RoutingHitRate,
-		Hedges:          doc.Cluster.Hedges,
-		Retries:         doc.Cluster.Retries,
-		Migrations:      doc.Cluster.Migrations,
-		TransportErrors: doc.Cluster.TransportErrors,
-	}
-	return pt, nil
-}
-
-// checkFleetConservation asserts the two sweep identities: every offered
-// request resolved to exactly one outcome at the client, and every live
-// shard admitted exactly the requests the router delivered to it.
-func checkFleetConservation(pt host.SweepPoint, doc httpfront.StatszV1) error {
-	accounted := pt.OK + pt.Timeouts + pt.Faults + pt.Shed + pt.Rejected + pt.Canceled
-	if accounted != uint64(pt.Offered) {
-		return fmt.Errorf("client conservation: accounted %d != offered %d", accounted, pt.Offered)
-	}
-	for _, sh := range doc.Cluster.Shards {
-		if !sh.Healthy {
-			continue // dead members' counters are unobservable
+	t.Check = func(pt *host.SweepPoint) error {
+		if !cl.Router.Quiesce(10 * time.Second) {
+			return fmt.Errorf("router did not quiesce")
 		}
-		if sh.Delivered != sh.Admitted {
-			return fmt.Errorf("fleet ledger: shard %s delivered %d != admitted %d",
-				sh.Name, sh.Delivered, sh.Admitted)
+		cl.Router.ScrapeOnce()
+		c := cl.Router.StatszDoc().Cluster
+		for _, sh := range c.Shards {
+			if sh.Healthy && sh.Delivered != sh.Admitted { // dead members' counters are unobservable
+				return fmt.Errorf("fleet ledger: shard %s delivered %d != admitted %d",
+					sh.Name, sh.Delivered, sh.Admitted)
+			}
 		}
+		pt.Shards = len(c.Shards)
+		pt.RoutingHitRate = c.RoutingHitRate
+		pt.Hedges, pt.Retries = c.Hedges, c.Retries
+		pt.Migrations, pt.TransportErrors = c.Migrations, c.TransportErrors
+		return nil
 	}
-	return nil
-}
-
-// CheckBaseline gates a sweep report against the checked-in cluster
-// baseline: per-point client conservation has already been enforced by
-// RunSweep; here every point must keep OK > 0 and p99 within tol× the
-// baseline entry at the same (shards, rate) key.
-func CheckBaseline(rep SweepReport, path string, tol float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("cluster baseline: %w", err)
-	}
-	var base SweepReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("cluster baseline: %w", err)
-	}
-	ref := make(map[string]SweepPoint, len(base.Points))
-	for _, pt := range base.Points {
-		ref[fmt.Sprintf("%d@%.0f", base.Shards, pt.RateRPS)] = pt
-	}
-	for _, pt := range rep.Points {
-		key := fmt.Sprintf("%d@%.0f", rep.Shards, pt.RateRPS)
-		want, ok := ref[key]
-		if !ok {
-			return fmt.Errorf("cluster baseline: no entry for %s", key)
-		}
-		if pt.OK == 0 {
-			return fmt.Errorf("cluster baseline: no successful requests at %s", key)
-		}
-		if want.P99Ns > 0 && pt.P99Ns > want.P99Ns*tol {
-			return fmt.Errorf("cluster baseline: p99 %.0fns exceeds %.1fx baseline %.0fns at %s",
-				pt.P99Ns, tol, want.P99Ns, key)
-		}
-	}
-	return nil
+	return t, nil
 }

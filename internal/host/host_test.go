@@ -208,8 +208,11 @@ func TestBackpressureBlock(t *testing.T) {
 func TestOpenLoopOverload(t *testing.T) {
 	const total = 100
 	s := New(Config{Workers: 1, QueueDepth: 2, Policy: PolicyShed, DispatchWall: time.Millisecond})
-	res := RunOpenLoop(s, DefaultMix(), 1e6, total, 7)
+	res, err := RunOpenLoop(s.Invoke, DefaultMix(), 1e6, total, 7)
 	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sum := res.Summary
 	if got := sum.Executed() + sum.Shed; got != total {

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
+	"time"
 
+	"hfi/internal/host"
 	"hfi/internal/stats"
 )
 
@@ -94,6 +97,46 @@ func (c *Client) Invoke(ctx context.Context, tenant string, body []byte, request
 		}
 	}
 	return res, nil
+}
+
+// InvokeRequest is Invoke as a host.Invoke, for the open-loop generator:
+// r's tenant name is the route, r.Body (nil ⇒ the tenant's synthetic
+// request) the payload, and the status code folds back into its outcome
+// class. A transport error, or a code outside the outcome table (a 404
+// for an unknown tenant), is an error.
+func (c *Client) InvokeRequest(ctx context.Context, r host.Request) (stats.Outcome, []byte, error) {
+	res, err := c.Invoke(ctx, r.Tenant.Name, r.Body, "")
+	if err != nil {
+		return 0, nil, err
+	}
+	o, ok := res.Outcome()
+	if !ok {
+		return 0, nil, fmt.Errorf("unexpected HTTP %d invoking %s", res.Code, r.Tenant.Name)
+	}
+	return o, res.Body, nil
+}
+
+// LoopbackTarget serves h on an ephemeral loopback listener and returns a
+// sweep target that drives it over real HTTP through a typed client —
+// wire cost, status mapping, and client disconnects included. Close shuts
+// the listener down, then runs teardown for the stack behind h; teardown
+// also runs when the listener cannot be opened.
+func LoopbackTarget(h http.Handler, teardown func()) (host.Target, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		teardown()
+		return host.Target{}, err
+	}
+	hs := &http.Server{Handler: h}
+	go hs.Serve(ln)
+	c := NewClient("http://" + ln.Addr().String())
+	return host.Target{Invoke: c.InvokeRequest, Close: func() {
+		c.CloseIdle()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hs.Shutdown(ctx)
+		teardown()
+	}}, nil
 }
 
 // Statsz fetches and unmarshals the server's StatszV1.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -539,14 +540,48 @@ func TestHostcallOverHTTP(t *testing.T) {
 	}
 }
 
-// TestOpenLoopHTTPGenerator: the HTTP open-loop generator produces a
-// conserving sweep point against a live front through the typed client.
+// TestSharedWorldConcurrentKV: DefaultRegistry gives every hostcall tenant
+// one shared world, so two workers serving the KV-backed tenants at once
+// reach the same store concurrently. Under -race this fails unless the
+// store serializes its own state; without -race an unsynchronized store
+// can still crash with a concurrent map write.
+func TestSharedWorldConcurrentKV(t *testing.T) {
+	f := New(host.New(host.Config{Workers: 4, QueueDepth: 64}), DefaultRegistry(1))
+	ts := httptest.NewServer(f.Handler())
+	c := NewClient(ts.URL)
+	t.Cleanup(func() { c.CloseIdle(); ts.Close(); f.Host().Close() })
+
+	const perTenant = 24
+	var wg sync.WaitGroup
+	for _, name := range []string{"kv-session", "fan-in-agg"} {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perTenant; i++ {
+					if res := invoke(t, c, name, ""); res.Code != 200 {
+						t.Errorf("%s: HTTP %d", name, res.Code)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if n := f.Host().Workers(); n != 4 {
+		t.Fatalf("served on %d workers, want 4", n)
+	}
+}
+
+// TestOpenLoopHTTPGenerator: the open-loop generator, driving a live
+// front through the typed client, accounts every offered request.
 func TestOpenLoopHTTPGenerator(t *testing.T) {
 	_, c := newFront(t, host.Config{Workers: 2, QueueDepth: 4, Policy: host.PolicyShed})
-	pt, err := RunOpenLoopHTTP(c, []string{"html", "xml"}, 500, 50, 42)
+	res, err := host.RunOpenLoop(c.InvokeRequest, NameMix([]string{"html", "xml"}), 500, 50, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt := res.Summary
 	accounted := pt.OK + pt.Timeouts + pt.Faults + pt.Shed + pt.Rejected + pt.Canceled
 	if accounted != 50 {
 		t.Fatalf("generator accounted %d of 50: %+v", accounted, pt)

@@ -32,10 +32,10 @@ func DefaultRegistry(worldSeed int64) map[string]Tenant {
 	return reg
 }
 
-// RegistryNames returns reg's tenant names sorted — the stable round-robin
-// order load generators draw from. The "faulty" trap tenant is excluded:
-// sweeps and baselines measure the healthy serving path, and faults there
-// are driven explicitly by tests.
+// RegistryNames returns reg's tenant names sorted — the stable list HTTP
+// load generators draw from (see NameMix). The "faulty" trap tenant is
+// excluded: sweeps and baselines measure the healthy serving path, and
+// faults there are driven explicitly by tests.
 func RegistryNames(reg map[string]Tenant) []string {
 	names := make([]string, 0, len(reg))
 	for name := range reg {
@@ -46,4 +46,15 @@ func RegistryNames(reg map[string]Tenant) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// NameMix is names as an open-loop mix at weight 1 each: HTTP callers
+// address tenants by route name only, so host.RunOpenLoop's seeded draw
+// over it is uniform.
+func NameMix(names []string) []host.Class {
+	mix := make([]host.Class, len(names))
+	for i, name := range names {
+		mix[i] = host.Class{Weight: 1, Tenant: workloads.Tenant{Name: name}}
+	}
+	return mix
 }

@@ -41,18 +41,9 @@ func (o Outcome) String() string {
 // (internal/host). All methods are safe for concurrent use; Snapshot may be
 // called while recording continues.
 type Recorder struct {
-	mu       sync.Mutex
-	lats     []float64 // wall latencies (ns) of executed requests (ok+timeout+fault)
-	ok       uint64
-	timeouts uint64
-	faults   uint64
-	shed     uint64
-	rejected uint64
-	canceled uint64
-	hc       HostcallCounters
-	tc       TierCounters
-	sc       SubstrateCounters
-	tenants  map[string]*tenantStats
+	mu      sync.Mutex
+	all     tally
+	tenants map[string]*tally
 }
 
 // HostcallCounters aggregates the host-call boundary traffic the serving
@@ -118,18 +109,70 @@ func (c *SubstrateCounters) Add(o SubstrateCounters) {
 	c.Benign += o.Benign
 }
 
-// tenantStats is one tenant's slice of the recorder: the same outcome
-// counters plus its own latency samples (for a per-tenant p99).
-type tenantStats struct {
+// tally is one attribution scope: the recorder's global view and each
+// tenant's slice share it, so every Record* updates both through the one
+// attribute path and global == Σ tenants holds by construction.
+type tally struct {
 	ok, timeouts, faults, shed, rejected, canceled uint64
 	hc                                             HostcallCounters
 	tc                                             TierCounters
 	sc                                             SubstrateCounters
-	lats                                           []float64
+	lats                                           []float64 // wall latencies (ns) of executed requests (ok+timeout+fault)
+}
+
+// outcome counts one request; only executed requests keep a latency.
+func (t *tally) outcome(o Outcome, latNs float64) {
+	switch o {
+	case OutcomeOK:
+		t.ok++
+	case OutcomeTimeout:
+		t.timeouts++
+	case OutcomeFault:
+		t.faults++
+	case OutcomeShed:
+		t.shed++
+		return
+	case OutcomeRejected:
+		t.rejected++
+		return
+	case OutcomeCanceled:
+		t.canceled++
+		return
+	default:
+		return
+	}
+	t.lats = append(t.lats, latNs)
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{tenants: make(map[string]*tenantStats)} }
+func NewRecorder() *Recorder { return &Recorder{tenants: make(map[string]*tally)} }
+
+// tenantLocked returns name's tally, creating it on first use; nil for the
+// empty tenant, which records globally only. Callers hold r.mu.
+func (r *Recorder) tenantLocked(name string) *tally {
+	if name == "" {
+		return nil
+	}
+	t := r.tenants[name]
+	if t == nil {
+		if r.tenants == nil {
+			r.tenants = make(map[string]*tally)
+		}
+		t = &tally{}
+		r.tenants[name] = t
+	}
+	return t
+}
+
+// attribute applies add to the global tally and to tenant's.
+func (r *Recorder) attribute(tenant string, add func(*tally)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	add(&r.all)
+	if t := r.tenantLocked(tenant); t != nil {
+		add(t)
+	}
+}
 
 // Record adds one request outcome. latNs is the wall-clock latency in
 // nanoseconds; it is ignored for shed requests, which never executed.
@@ -139,61 +182,7 @@ func (r *Recorder) Record(o Outcome, latNs float64) { r.RecordTenant("", o, latN
 // both the global view (identical to Record) and the tenant's breakdown.
 // The empty tenant records globally only.
 func (r *Recorder) RecordTenant(tenant string, o Outcome, latNs float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ts *tenantStats
-	if tenant != "" {
-		if ts = r.tenants[tenant]; ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-	}
-	executed := false
-	switch o {
-	case OutcomeOK:
-		r.ok++
-		executed = true
-		if ts != nil {
-			ts.ok++
-		}
-	case OutcomeTimeout:
-		r.timeouts++
-		executed = true
-		if ts != nil {
-			ts.timeouts++
-		}
-	case OutcomeFault:
-		r.faults++
-		executed = true
-		if ts != nil {
-			ts.faults++
-		}
-	case OutcomeShed:
-		r.shed++
-		if ts != nil {
-			ts.shed++
-		}
-	case OutcomeRejected:
-		r.rejected++
-		if ts != nil {
-			ts.rejected++
-		}
-	case OutcomeCanceled:
-		r.canceled++
-		if ts != nil {
-			ts.canceled++
-		}
-	}
-	if !executed {
-		return
-	}
-	r.lats = append(r.lats, latNs)
-	if ts != nil {
-		ts.lats = append(ts.lats, latNs)
-	}
+	r.attribute(tenant, func(t *tally) { t.outcome(o, latNs) })
 }
 
 // RecordHostcalls attributes one request's host-call boundary traffic to
@@ -201,70 +190,24 @@ func (r *Recorder) RecordTenant(tenant string, o Outcome, latNs float64) {
 // TenantSummaries always equals the Snapshot totals (the conservation
 // check the HTTP front-end tests assert).
 func (r *Recorder) RecordHostcalls(tenant string, hc HostcallCounters) {
-	if hc == (HostcallCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hc.Add(hc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.hc.Add(hc)
+	if hc != (HostcallCounters{}) {
+		r.attribute(tenant, func(t *tally) { t.hc.Add(hc) })
 	}
 }
 
 // RecordTier attributes one request's tiered-engine activity to a tenant,
-// updating the global aggregate identically — the same conservation
-// contract as RecordHostcalls: the sum over TenantSummaries always equals
-// the Snapshot totals.
+// with the same conservation contract as RecordHostcalls.
 func (r *Recorder) RecordTier(tenant string, tc TierCounters) {
-	if tc == (TierCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tc.Add(tc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.tc.Add(tc)
+	if tc != (TierCounters{}) {
+		r.attribute(tenant, func(t *tally) { t.tc.Add(tc) })
 	}
 }
 
-// RecordSubstrate attributes one request's substrate fault accounting to a
-// tenant, updating the global aggregate identically — the same conservation
-// contract as RecordHostcalls: the sum over TenantSummaries always equals
-// the Snapshot totals.
+// RecordSubstrate attributes one request's substrate fault accounting to
+// a tenant, with the same conservation contract as RecordHostcalls.
 func (r *Recorder) RecordSubstrate(tenant string, sc SubstrateCounters) {
-	if sc == (SubstrateCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sc.Add(sc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.sc.Add(sc)
+	if sc != (SubstrateCounters{}) {
+		r.attribute(tenant, func(t *tally) { t.sc.Add(sc) })
 	}
 }
 
@@ -309,15 +252,19 @@ type ServeSummary struct {
 // Executed counts requests that reached a sandbox (everything but sheds).
 func (s ServeSummary) Executed() uint64 { return s.OK + s.Timeouts + s.Faults }
 
+// Admitted counts every accounted outcome.
+func (s ServeSummary) Admitted() uint64 { return s.Executed() + s.Shed + s.Rejected + s.Canceled }
+
 // Snapshot summarizes everything recorded so far. elapsedNs is the
 // wall-clock window the throughput is computed over.
 func (r *Recorder) Snapshot(elapsedNs float64) ServeSummary {
 	r.mu.Lock()
-	lats := append([]float64(nil), r.lats...)
+	a := &r.all
+	lats := append([]float64(nil), a.lats...)
 	s := ServeSummary{
-		OK: r.ok, Timeouts: r.timeouts, Faults: r.faults,
-		Shed: r.shed, Rejected: r.rejected, Canceled: r.canceled,
-		Hostcalls: r.hc, Tier: r.tc, Substrate: r.sc,
+		OK: a.ok, Timeouts: a.timeouts, Faults: a.faults,
+		Shed: a.shed, Rejected: a.rejected, Canceled: a.canceled,
+		Hostcalls: a.hc, Tier: a.tc, Substrate: a.sc,
 	}
 	r.mu.Unlock()
 

@@ -36,6 +36,11 @@
 # operators — which fails on any verified-then-escaped mutant or a static
 # kill rate below 95% (full bench: `go run ./cmd/hfiverify -mutate -full`).
 #
+# perfbench is the serving benchmark's own module (go.mod with
+# `replace hfi => ../`): root `go build ./...` never compiles it, so it is
+# vetted and tested on its own to catch breakage in the internal packages
+# it imports.
+#
 # hfilint runs right after vet: the custom checks (negated-errno returns in
 # the hostcall handlers, the closed verifier rule vocabulary) that plain
 # vet cannot express. A dedicated uncached -race pass over the verifier and
@@ -64,6 +69,8 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
+echo "== perfbench: vet + tests (own go.mod, so the root build never compiles it)"
+(cd perfbench && go vet . && go test -count=1 .)
 echo "== go test -race -count=1 (uncached): verifier + mutation"
 go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint
 echo "== hfiverify -mutate: verifier soundness bench (fast, incl. fact-corruption operators)"
